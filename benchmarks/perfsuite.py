@@ -16,14 +16,14 @@ experiment hammers) and writes ``BENCH_crypto.json``:
   stream repeats each signature several times — repeats are cache hits;
 * ``batch_verify_sigs_per_s`` — per-signature rate of batched quorum
   certificates (fresh message each round, so nothing is cached);
-* ``multi_pow_{k}_*`` — pairs/second of the v2 multi-exponentiation
+* ``multi_pow_{k}_*`` — pairs/second of the current multi-exponentiation
   engine at batch sizes 4/16/64/256 against an in-process replica of
   the v1 engine (PR 1's shared-squaring interleaved windowing, no
   dedup, no shared tables), on pairs shaped like a real batched
   verification: alternating fresh commitment bases with 64-bit weight
-  exponents and hot public-key bases (drawn from a small recurring
-  pool, as market accounts and validators recur) with ~320-bit
-  challenge·weight exponents;
+  exponents and public-key bases (drawn from a small recurring pool,
+  prewarmed as validator keys are) with ~320-bit challenge·weight
+  exponents;
 * ``e1_wall_s`` — end-to-end wall-clock of the E1 running example;
 * ``seed_*`` / ``v1_*`` — the same operations through faithful
   replicas of the earlier implementations, measured in the same
@@ -161,10 +161,8 @@ def run_suite(quick: bool = False) -> dict:
 
     keys = [generate_keypair(f"perfsuite-{i}".encode()) for i in range(8)]
     # The suite measures steady-state rates (the docstring's contract:
-    # "fixed-base tables warm"), so build the measurement keys' hot
-    # tables up front — otherwise the tiered window upgrades land
-    # inside whichever timed section happens to cross the use
-    # threshold, and the per-section rates jitter run to run.  The
+    # "fixed-base tables warm"), so the measurement keys are declared
+    # hot up front: only prewarmed keys get wide-window tables.  The
     # seed_* baselines are unaffected (pure builtins.pow replicas).
     for _, public in keys:
         prewarm_base(public.point, hot=True)
@@ -241,13 +239,13 @@ def run_suite(quick: bool = False) -> dict:
         min_time,
     )
 
-    # -- multi_pow microbench (v2 engine vs the v1 replica) ------------
+    # -- multi_pow microbench (engine vs the v1 replica) ---------------
     # Pairs mirror one sealed block's merged batch check: alternating
     # (fresh commitment, 64-bit weight) and (hot public key from a
     # recurring 8-key pool, ~320-bit challenge·weight) entries.  The
-    # pool bases are prewarmed — in steady state market accounts and
-    # validators always have tables — so the measurement is the
-    # steady-state rate, not the first-block one.
+    # pool bases are prewarmed, as validator keys are; market accounts
+    # get no tables, so this shape measures the prewarmed-key path,
+    # not the market's all-cold seal checks.
     rng = random.Random(0xB10C5)
     hot_pool = [pow(G, rng.getrandbits(256), P) for _ in range(8)]
     for base in hot_pool:

@@ -48,10 +48,10 @@ class ValidatorSet:
         self._keypairs = list(keypairs)
         self.epoch = epoch
         # A validator's key verifies certificates for the whole run, so
-        # its fastexp window table is built now, at set-generation time,
-        # instead of lazily inside the first measured verifications
-        # (ROADMAP follow-up to the PR 1 crypto engine).  Keypairs are
-        # memoized per label, so regenerated sets find warm tables.
+        # its fastexp window table is built now, at set-generation time;
+        # fastexp builds tables only for keys prewarmed like this.
+        # Keypairs are memoized per label, so regenerated sets find warm
+        # tables.
         for keypair in self._keypairs:
             prewarm_base(keypair.public_key.point)
 

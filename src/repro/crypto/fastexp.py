@@ -1,35 +1,31 @@
-"""Fast modular exponentiation for the Schnorr hot path (engine v2).
+"""Fast modular exponentiation for the Schnorr hot path.
 
 Profiling shows most benchmark wall-clock inside 2048-bit modular
 exponentiation for Schnorr sign/verify, and — since the market runtime
 batches whole blocks of order signatures into one combined check —
-inside :func:`multi_pow` specifically (~70% of the E16 market run).
-Three kinds of bases recur:
+inside :func:`multi_pow` specifically.  Three kinds of bases recur:
 
 * the **generator** ``g`` — every sign computes ``g^k`` and every
-  verify computes ``g^s``; the base never changes, so a fixed-base
-  window table turns each exponentiation into ~``bits/w`` modular
-  multiplications with **no squarings at all**;
+  verify computes ``g^s``; the base never changes, so a process-wide
+  fixed-base window table turns each exponentiation into ~``bits/w``
+  modular multiplications with **no squarings at all**;
 * a **public key** ``y`` — every verify computes ``y^e`` and every
-  batched check computes ``y^{e·w}``; validator and market-account
-  keys recur in every block, so per-base tables amortize quickly.
-  Tables are built once a base has been seen a few times and live in a
-  bounded, honestly-LRU cache shared by :func:`base_pow` *and*
-  :func:`multi_pow`, so a hot base never pays table construction
-  twice;
+  batched check computes ``y^{e·w}``.  A per-key table costs ~1,500
+  multiplications to build and, next to the shared-squaring path
+  below, saves at most a few dozen per use, so one exists only where
+  a caller declares the key hot up front with
+  :func:`prewarm_base` (a validator set's members).  Cached tables live
+  in a bounded, honestly-LRU cache shared by :func:`base_pow` *and*
+  :func:`multi_pow`; every other key is cold;
 * **signature commitments** ``R`` — fresh every signature, weighted by
-  short batch exponents; they never amortize, so they go through a
-  cold multi-exponentiation path.
+  short batch exponents; always cold.
 
-:func:`multi_pow` v2 therefore works in three stages: (1) duplicate
-bases are merged by *summing their exponents* (one table walk instead
-of two); (2) bases with a cached window table — the generator included
-— contribute through their table with no squarings; (3) the cold
-remainder is computed with either Straus interleaved windowing (small
-batches: one shared squaring chain, per-base digit tables) or a
-Pippenger bucket pass (large batches: per-window digit buckets, no
-per-base tables at all), chosen by a per-call cost model over the
-batch size and exponent bit-length.
+:func:`multi_pow` merges duplicate bases by *summing their exponents*,
+sends bases with a cached table — the generator included — through
+that table, and computes the cold remainder with one interleaved
+sliding-window Straus pass: every base gets a table of its odd powers,
+sized from its own exponent length, and all bases share one squaring
+chain.
 
 The RFC 3526 group-14 constants live here (single source of truth);
 :mod:`repro.crypto.schnorr` re-exports them, so existing imports keep
@@ -71,31 +67,13 @@ _EXP_BITS = Q.bit_length()
 GENERATOR_TABLE_BITS = 1024  # covers s (~513 bits) and batch Σw·s sums
 BASE_TABLE_BITS = 384  # covers challenges e (256 bits) times batch weights
 
-# Window sizes trade table-build cost against per-exponentiation cost.
 # The generator table is built once per process, so it affords a wide
-# window; per-public-key tables are tiered by how hot the base proves:
-# the first build uses a narrow window (cheap enough that a handful of
-# exponentiations amortize it), and a base that keeps getting used is
-# upgraded to a wide window whose bigger build cost the remaining
-# traffic easily repays.
+# window.  Per-key tables use a narrow window by default and a wide one
+# for keys a caller expects to stay hot for a whole long run.
 GENERATOR_WINDOW = 7
 BASE_WINDOW = 4
 BASE_WINDOW_HOT = 6
-# Fallback window for multi_pow callers that pin one explicitly; the
-# adaptive path picks its own (see _straus_window / _pippenger_window).
-MULTI_WINDOW = 4
-
-# Per-base tables: build only after a base was exponentiated this many
-# times (one-shot keys stay on builtins.pow), upgrade the window after
-# this many table uses, keep at most this many tables.
-_BASE_TABLE_THRESHOLD = 4
-_BASE_TABLE_UPGRADE_USES = 96
-_BASE_TABLE_MAXSIZE = 96
-_BASE_USES_MAXSIZE = 4096
-
-# Below this many cold pairs a Pippenger pass cannot beat Straus (the
-# bucket aggregation floor dominates); skip the cost model entirely.
-_PIPPENGER_MIN_PAIRS = 24
+_BASE_TABLE_MAXSIZE = 96  # per-key tables kept (LRU)
 
 
 class LruDict:
@@ -159,7 +137,7 @@ class FixedBaseTable:
     multiplication per non-zero window digit — no squarings.
     """
 
-    __slots__ = ("base", "modulus", "window", "max_bits", "uses", "_rows", "_mask")
+    __slots__ = ("base", "modulus", "window", "max_bits", "_rows", "_mask")
 
     def __init__(self, base: int, modulus: int, max_bits: int = _EXP_BITS, window: int = BASE_WINDOW):
         if not 1 <= window <= 16:
@@ -168,7 +146,6 @@ class FixedBaseTable:
         self.modulus = modulus
         self.window = window
         self.max_bits = max_bits
-        self.uses = 0
         self._mask = (1 << window) - 1
         radix = 1 << window
         rows = []
@@ -224,77 +201,37 @@ def generator_pow(exponent: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Arbitrary bases (public keys): tables built after repeated use.
-#
-# The table cache and the use counter are both honest LRUs, and the
-# cache is shared between base_pow and multi_pow: a validator or
-# market-account key that recurs in every block builds its window
-# table exactly once, no matter which entry point sees it.
+# Arbitrary bases (public keys): tables only for keys declared hot.
 # ----------------------------------------------------------------------
 _base_tables = LruDict(_BASE_TABLE_MAXSIZE)
-_base_uses = LruDict(_BASE_USES_MAXSIZE)
 
 
-def _shared_table(base: int) -> FixedBaseTable | None:
-    """The cached window table for ``base`` (counting uses toward one).
-
-    ``base`` must already be reduced mod p.  Returns the generator's
-    process-wide table when ``base`` is ``g``, a cached per-base table
-    when one exists (touching it in the LRU), and ``None`` otherwise —
-    in which case the use counter advances and a table is built once
-    the base crosses the threshold.
-    """
+def _cached_table(base: int) -> FixedBaseTable | None:
+    """The window table for ``base`` (reduced mod p), or ``None``."""
     if base == G:
         return generator_table()
-    table = _base_tables.get(base)
-    if table is not None:
-        table.uses += 1
-        if (
-            table.window < BASE_WINDOW_HOT
-            and table.uses >= _BASE_TABLE_UPGRADE_USES
-        ):
-            # The base proved genuinely hot: pay the wide-window build
-            # once and let the remaining traffic repay it.
-            table = FixedBaseTable(base, P, BASE_TABLE_BITS, BASE_WINDOW_HOT)
-            table.uses = _BASE_TABLE_UPGRADE_USES
-            _base_tables.put(base, table)
-        return table
-    uses = (_base_uses.get(base) or 0) + 1
-    if uses < _BASE_TABLE_THRESHOLD:
-        _base_uses.put(base, uses)
-        return None
-    _base_uses.pop(base)
-    table = FixedBaseTable(base, P, BASE_TABLE_BITS, BASE_WINDOW)
-    _base_tables.put(base, table)
-    return table
+    return _base_tables.get(base)
 
 
 def base_pow(base: int, exponent: int) -> int:
-    """``base^exponent mod p``, precomputing a table for hot bases.
-
-    The first few exponentiations of a base go through ``builtins.pow``;
-    once a base crosses the use threshold it gets a window table, after
-    which each exponentiation is ~``bits/w`` multiplications.
-    """
-    table = _shared_table(base % P)
+    """``base^exponent mod p``: a cached table if any, else ``builtins.pow``."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    table = _cached_table(base % P)
     if table is None:
         return pow(base, exponent, P)
     return table.pow(exponent)
 
 
 def prewarm_base(base: int, hot: bool = False) -> bool:
-    """Build ``base``'s window table immediately, skipping the threshold.
+    """Build ``base``'s window table now, for a key known to recur.
 
-    For bases that are *known* to be hot before the first
-    exponentiation — a fresh validator set's public keys will verify
-    certificates for the rest of the run — waiting for
-    ``_BASE_TABLE_THRESHOLD`` uses just moves the table build into the
-    measured path.  Called by
-    :class:`repro.consensus.validators.ValidatorSet` at generation
-    time.  ``hot=True`` builds the wide-window tier directly (for
-    bases known to stay hot for a whole long run, skipping the
-    upgrade-at-``_BASE_TABLE_UPGRADE_USES`` step as well).  Returns
-    True when a table was built (False: already warm).
+    Only prewarmed keys ever get a table: a fresh validator set's
+    public keys will verify certificates for the rest of the run, so
+    :class:`repro.consensus.validators.ValidatorSet` prewarms them at
+    generation time.  ``hot=True`` builds the wide-window tier, for
+    keys that stay hot for a whole long run.  Returns True when a
+    table was built (False: already warm at that width).
     """
     base %= P
     if base == G:
@@ -303,151 +240,64 @@ def prewarm_base(base: int, hot: bool = False) -> bool:
     existing = _base_tables.get(base)
     if existing is not None and existing.window >= window:
         return False
-    _base_uses.pop(base)
-    table = FixedBaseTable(base, P, BASE_TABLE_BITS, window)
-    if hot:
-        table.uses = _BASE_TABLE_UPGRADE_USES
-    _base_tables.put(base, table)
+    _base_tables.put(base, FixedBaseTable(base, P, BASE_TABLE_BITS, window))
     return True
 
 
 # ----------------------------------------------------------------------
-# Multi-exponentiation v2: dedup -> cached tables -> Straus/Pippenger.
+# Multi-exponentiation: dedup -> cached tables -> sliding-window Straus.
 # ----------------------------------------------------------------------
-def _straus_window(max_bits: int) -> int:
-    """Window width minimizing Straus cost for this exponent length.
+def _sliding_window(bits: int) -> int:
+    """Window width minimizing one base's sliding-window cost.
 
-    Per-pair cost ~ table build ``2^w - 2`` plus one multiplication per
-    non-zero digit, ``(max_bits/w)·(1 - 2^-w)``; squarings are shared
-    and independent of ``w``, so the optimum depends only on the
-    exponent bit-length, not on the batch size.
+    Odd powers ``b, b^3, ..., b^(2^w - 1)`` cost ``2^(w-1)``
+    multiplications, and odd digits fall on average every ``w + 1``
+    bits; the shared squarings do not depend on ``w``.
     """
-    best_w, best_cost = 1, float("inf")
-    for w in range(1, 9):
-        radix = 1 << w
-        levels = -(-max_bits // w)
-        cost = (radix - 2) + levels * (1.0 - 1.0 / radix)
-        if cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
+    return min(range(1, 9), key=lambda w: (1 << (w - 1)) + bits / (w + 1))
 
 
-def _pippenger_cost(pairs: int, max_bits: int, c: int) -> float:
-    """Estimated multiplications for one Pippenger pass at width ``c``.
+def _sliding_straus(items: list[tuple[int, int]], modulus: int) -> int:
+    """Interleaved sliding-window multi-exp with one shared squaring chain.
 
-    Per level: one bucket insertion per pair with a non-zero digit,
-    one ``running`` update per occupied bucket, and one ``total``
-    update per bucket *slot* below the highest occupied one — the
-    suffix-product walk touches every slot, which is what drives the
-    classic ``c ~ log2(pairs)`` optimum.
+    Each exponent is recoded left to right into odd digits of at most
+    its own window width; the digit ending at bit ``j`` is multiplied in
+    right after the accumulator's squaring for bit ``j``.
     """
-    levels = -(-max_bits // c)
-    radix = 1 << c
-    return levels * (pairs + min(radix - 1, pairs) + radix)
-
-
-def _pippenger_window(pairs: int, max_bits: int) -> int:
-    """Bucket width minimizing Pippenger cost for this batch shape."""
-    best_c, best_cost = 1, float("inf")
-    for c in range(1, 13):
-        cost = _pippenger_cost(pairs, max_bits, c)
-        if cost < best_cost:
-            best_c, best_cost = c, cost
-    return best_c
-
-
-def _straus(items: list[tuple[int, int]], modulus: int, window: int) -> int:
-    """Interleaved windowed multi-exp with one shared squaring chain."""
-    mask = (1 << window) - 1
-    radix = mask + 1
-    tables = []
-    max_bits = 0
+    top = max(exponent.bit_length() for _, exponent in items)
+    slots: list[list[int]] = [[] for _ in range(top)]
     for base, exponent in items:
-        row = [1] * radix
-        row[1] = base
-        for digit in range(2, radix):
-            row[digit] = row[digit - 1] * base % modulus
-        tables.append((exponent, row))
-        if exponent.bit_length() > max_bits:
-            max_bits = exponent.bit_length()
+        bits = bin(exponent)[2:]
+        length = len(bits)
+        window = _sliding_window(length)
+        odd = [base]
+        if window > 1:
+            square = base * base % modulus
+            for _ in range((1 << (window - 1)) - 1):
+                odd.append(odd[-1] * square % modulus)
+        start = bits.find("1")
+        while start >= 0:
+            end = bits.rfind("1", start, start + window) + 1
+            slots[length - end].append(odd[int(bits[start:end], 2) >> 1])
+            start = bits.find("1", end)
     acc = 1
-    for index in range((max_bits + window - 1) // window - 1, -1, -1):
+    for position in range(top - 1, -1, -1):
         if acc != 1:
-            for _ in range(window):
-                acc = acc * acc % modulus
-        shift = index * window
-        for exponent, row in tables:
-            digit = (exponent >> shift) & mask
-            if digit:
-                acc = acc * row[digit] % modulus
+            acc = acc * acc % modulus
+        for value in slots[position]:
+            acc = acc * value % modulus
     return acc
 
 
-def _pippenger(items: list[tuple[int, int]], modulus: int, window: int) -> int:
-    """Bucket-method multi-exp: no per-base tables, per-window buckets.
-
-    For each window level, every pair lands in the bucket of its digit
-    (one multiplication per pair with a non-zero digit); the buckets
-    are then folded with the running-product trick — the suffix product
-    ``running_d = Π_{j>=d} bucket_j`` accumulated once per occupied
-    bucket gives ``Π_d bucket_d^d`` in ~2 multiplications per bucket.
-    """
-    mask = (1 << window) - 1
-    max_bits = max(exponent.bit_length() for _, exponent in items)
-    acc = 1
-    for index in range((max_bits + window - 1) // window - 1, -1, -1):
-        if acc != 1:
-            for _ in range(window):
-                acc = acc * acc % modulus
-        shift = index * window
-        buckets: list[int | None] = [None] * (mask + 1)
-        for base, exponent in items:
-            digit = (exponent >> shift) & mask
-            if digit:
-                held = buckets[digit]
-                buckets[digit] = base if held is None else held * base % modulus
-        running = total = None
-        for digit in range(mask, 0, -1):
-            held = buckets[digit]
-            if held is not None:
-                running = held if running is None else running * held % modulus
-            if running is not None:
-                total = running if total is None else total * running % modulus
-        if total is not None:
-            acc = acc * total % modulus
-    return acc
-
-
-def _cold_multi(items: list[tuple[int, int]], modulus: int, window: int | None) -> int:
-    """Multi-exp for bases without cached tables: pick Straus/Pippenger."""
-    if window is not None:
-        return _straus(items, modulus, window)
-    max_bits = max(exponent.bit_length() for _, exponent in items)
-    pairs = len(items)
-    w = _straus_window(max_bits)
-    if pairs < _PIPPENGER_MIN_PAIRS:
-        return _straus(items, modulus, w)
-    radix = 1 << w
-    straus_cost = pairs * ((radix - 2) + -(-max_bits // w) * (1.0 - 1.0 / radix))
-    c = _pippenger_window(pairs, max_bits)
-    if _pippenger_cost(pairs, max_bits, c) < straus_cost:
-        return _pippenger(items, modulus, c)
-    return _straus(items, modulus, w)
-
-
-def multi_pow(pairs: list[tuple[int, int]], modulus: int = P, window: int | None = None) -> int:
-    """``Π base_i^{exp_i} mod modulus`` via the v2 multi-exp engine.
+def multi_pow(pairs: list[tuple[int, int]], modulus: int = P) -> int:
+    """``Π base_i^{exp_i} mod modulus``.
 
     Repeated bases are merged by summing their exponents (two
-    signatures under one public key cost one table walk, not two).
-    When ``modulus`` is the group prime ``p`` and no explicit
-    ``window`` is pinned, bases with a cached fixed-base table — the
-    generator and every hot public key — contribute through their
-    table with no squarings at all, and only the cold remainder pays
-    the shared-chain multi-exponentiation (Straus for small batches,
-    Pippenger buckets for large ones, chosen by a per-call cost
-    model).  Passing ``window`` forces the plain interleaved path with
-    that width (no caches, no cost model) for reproducible unit tests.
+    signatures under one public key cost one pass, not two).  When
+    ``modulus`` is the group prime ``p``, bases with a cached
+    fixed-base table — the generator and every prewarmed key —
+    contribute through their table with no squarings at all; the cold
+    remainder shares one sliding-window Straus pass.
     """
     if not pairs:
         return 1 % modulus
@@ -461,21 +311,21 @@ def multi_pow(pairs: list[tuple[int, int]], modulus: int = P, window: int | None
         merged[base] = merged.get(base, 0) + exponent
     hot = 1
     cold: list[tuple[int, int]] = []
-    use_tables = modulus == P and window is None
+    use_tables = modulus == P
     for base, exponent in merged.items():
         if exponent == 0 or base == 1:
             continue
         if base == 0:
             return 0
         if use_tables:
-            table = _shared_table(base)
+            table = _cached_table(base)
             if table is not None and exponent.bit_length() <= table.max_bits:
                 hot = hot * table.pow(exponent) % modulus
                 continue
         cold.append((base, exponent))
     if not cold:
         return hot % modulus
-    return _cold_multi(cold, modulus, window) * hot % modulus
+    return _sliding_straus(cold, modulus) * hot % modulus
 
 
 def cache_stats() -> dict:
@@ -485,11 +335,9 @@ def cache_stats() -> dict:
         "base_tables": len(_base_tables),
         "base_table_hits": _base_tables.hits,
         "base_table_misses": _base_tables.misses,
-        "pending_bases": len(_base_uses),
     }
 
 
 def clear_caches() -> None:
     """Drop every per-base table (the generator table is kept)."""
     _base_tables.clear()
-    _base_uses.clear()

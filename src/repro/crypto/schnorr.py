@@ -17,9 +17,9 @@ Nonces are derived deterministically from the private key and message
 simulator's determinism policy (DESIGN.md §7).
 
 Performance: all exponentiation goes through
-:mod:`repro.crypto.fastexp` (fixed-base window tables for ``g``,
-per-public-key tables for hot keys, a shared-squaring multi-exponent
-for batches), and verification results are memoized in a bounded LRU
+:mod:`repro.crypto.fastexp` (a fixed-base window table for ``g``,
+per-public-key tables for keys prewarmed as hot, a shared-squaring
+sliding-window multi-exponent for batches), and verification results are memoized in a bounded LRU
 keyed on the full ``(key, message, signature)`` triple — the timelock
 protocol re-verifies the same path signature at every hop and the CBC
 protocol re-verifies the same certificate on every chain, so repeats

@@ -68,15 +68,38 @@ def test_generator_pow_matches_pow():
         assert generator_pow(exponent) == pow(G, exponent, P)
 
 
+def _product(pairs, modulus=P):
+    expected = 1 % modulus
+    for base, exponent in pairs:
+        expected = expected * pow(base, exponent, modulus) % modulus
+    return expected
+
+
 def test_base_pow_matches_pow_before_and_after_table_build():
     rng = random.Random(13)
     base = pow(G, 0xDEADBEEF, P)
     fastexp.clear_caches()
-    # Enough calls to cross the table-build threshold either side.
-    for _ in range(fastexp._BASE_TABLE_THRESHOLD + 3):
+    for _ in range(3):
+        exponent = rng.getrandbits(256)
+        assert base_pow(base, exponent) == pow(base, exponent, P)
+    assert fastexp.cache_stats()["base_tables"] == 0
+    fastexp.prewarm_base(base)
+    for _ in range(3):
         exponent = rng.getrandbits(256)
         assert base_pow(base, exponent) == pow(base, exponent, P)
     assert fastexp.cache_stats()["base_tables"] == 1
+
+
+def test_base_pow_rejects_negative_exponent_cold_or_warm():
+    fastexp.clear_caches()
+    base = pow(G, 0xBAD, P)
+    with pytest.raises(ValueError):
+        base_pow(base, -1)
+    fastexp.prewarm_base(base)
+    with pytest.raises(ValueError):
+        base_pow(base, -1)
+    with pytest.raises(ValueError):
+        base_pow(G, -1)
 
 
 def test_multi_pow_matches_product_of_pows():
@@ -221,29 +244,64 @@ def test_batch_success_seeds_the_per_signature_cache():
 
 
 # ----------------------------------------------------------------------
-# Engine v2: honest LRU bookkeeping, dedup, Pippenger, tiered windows
+# multi_pow: dedup, prewarmed tables, sliding-window Straus
 # ----------------------------------------------------------------------
-def test_base_uses_bookkeeping_is_honest_lru(monkeypatch):
-    # A hot-but-early base must survive churn: touching its use counter
-    # refreshes it, so the eviction victim is the least-recently-used
-    # counter, not the oldest-inserted one.
-    monkeypatch.setattr(fastexp, "_base_uses", LruDict(2))
-    monkeypatch.setattr(fastexp, "_base_tables", LruDict(4))
-    hot = pow(G, 1001, P)
-    churn_a = pow(G, 1002, P)
-    churn_b = pow(G, 1003, P)
-    base_pow(hot, 5)      # hot: 1 use (oldest inserted)
-    base_pow(churn_a, 5)  # churn_a: 1 use
-    base_pow(hot, 5)      # touch hot -> churn_a is now the LRU victim
-    base_pow(churn_b, 5)  # overflow: churn_a evicted, hot retained
-    assert churn_a not in fastexp._base_uses
-    assert hot in fastexp._base_uses
-    # hot kept its count: two more uses cross the threshold and build
-    # its table, while churn_a restarts from zero.
-    base_pow(hot, 5)
-    base_pow(hot, 5)
-    assert hot in fastexp._base_tables
-    assert churn_a not in fastexp._base_tables
+EXPONENT_BITS = (0, 1, 2, 63, 64, 65, 320, 700, 1100)
+
+
+@pytest.mark.parametrize("bits", EXPONENT_BITS)
+def test_sliding_path_matches_pow_at_each_exponent_length(bits):
+    fastexp.clear_caches()
+    rng = random.Random(1000 + bits)
+    for size in (1, 2, 5, 12):
+        pairs = [
+            (pow(G, rng.getrandbits(200), P), rng.getrandbits(bits))
+            for _ in range(size)
+        ]
+        assert multi_pow(pairs, P) == _product(pairs)
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 7, 16, 31, 62, 80))
+def test_sliding_path_matches_pow_for_mixed_batches(size):
+    # Every exponent length in one shared squaring chain, with repeated
+    # bases (merged by summing exponents) and a non-group modulus too.
+    fastexp.clear_caches()
+    rng = random.Random(size)
+    bases = [pow(G, rng.getrandbits(200), P) for _ in range(max(1, size // 3))]
+    pairs = [
+        (rng.choice(bases), rng.getrandbits(EXPONENT_BITS[i % len(EXPONENT_BITS)]))
+        for i in range(size)
+    ]
+    assert multi_pow(pairs, P) == _product(pairs)
+    odd_modulus = rng.getrandbits(512) | 1
+    assert multi_pow(pairs, odd_modulus) == _product(pairs, odd_modulus)
+
+
+def test_unprewarmed_key_never_builds_a_table():
+    fastexp.clear_caches()
+    rng = random.Random(53)
+    key = pow(G, rng.getrandbits(256), P)
+    for _ in range(200):
+        exponent = rng.getrandbits(64)
+        assert base_pow(key, exponent) == pow(key, exponent, P)
+        pairs = [(key, exponent), (pow(G, rng.getrandbits(64), P), rng.getrandbits(16))]
+        assert multi_pow(pairs, P) == _product(pairs)
+    assert fastexp.cache_stats()["base_tables"] == 0
+
+
+def test_prewarmed_key_serves_both_entry_points():
+    fastexp.clear_caches()
+    rng = random.Random(59)
+    key = pow(G, rng.getrandbits(256), P)
+    assert fastexp.prewarm_base(key)
+    hits = fastexp.cache_stats()["base_table_hits"]
+    exponent = rng.getrandbits(320)
+    assert base_pow(key, exponent) == pow(key, exponent, P)
+    pairs = [(key, exponent), (pow(G, rng.getrandbits(64), P), rng.getrandbits(64))]
+    assert multi_pow(pairs, P) == _product(pairs)
+    stats = fastexp.cache_stats()
+    assert stats["base_table_hits"] == hits + 2
+    assert stats["base_tables"] == 1
 
 
 def test_multi_pow_dedupes_repeated_bases():
@@ -267,9 +325,9 @@ def test_multi_pow_modulus_one_is_zero():
     assert multi_pow([(3, 5), (7, 11)], 1) == 0
 
 
-def test_multi_pow_large_cold_batch_uses_pippenger_and_agrees():
-    # Enough fresh bases with short exponents that the cost model picks
-    # the bucket method; the result must match the plain product.
+def test_multi_pow_large_cold_batch_agrees():
+    # Many fresh bases with short exponents, as in a merged seal flush;
+    # the result must match the plain product.
     fastexp.clear_caches()
     rng = random.Random(31)
     pairs = [
@@ -282,39 +340,15 @@ def test_multi_pow_large_cold_batch_uses_pippenger_and_agrees():
     assert multi_pow(pairs, P) == expected
 
 
-def test_pippenger_internal_agrees_with_straus():
-    rng = random.Random(37)
-    items = [
-        (rng.getrandbits(256) % P, rng.getrandbits(bits))
-        for bits in (1, 64, 200, 320, 320, 64, 7, 128)
-    ]
-    items = [(base, exp) for base, exp in items if exp]
-    assert fastexp._pippenger(items, P, 4) == fastexp._straus(items, P, 4)
-
-
-def test_explicit_window_path_matches_pow():
-    rng = random.Random(41)
-    pairs = [
-        (pow(G, rng.getrandbits(128), P), rng.getrandbits(256)) for _ in range(5)
-    ]
-    expected = 1
-    for base, exponent in pairs:
-        expected = expected * pow(base, exponent, P) % P
-    for window in (1, 2, 4, 8):
-        assert multi_pow(pairs, P, window=window) == expected
-
-
 def test_hot_base_upgrades_to_wide_window():
     fastexp.clear_caches()
     base = pow(G, 0xFEED, P)
-    fastexp.prewarm_base(base)
+    assert fastexp.prewarm_base(base)
     assert fastexp._base_tables.get(base).window == fastexp.BASE_WINDOW
+    assert fastexp.prewarm_base(base, hot=True)
+    assert not fastexp.prewarm_base(base)  # a wide table also serves narrow
+    assert fastexp._base_tables.get(base).window == fastexp.BASE_WINDOW_HOT
     rng = random.Random(43)
-    for _ in range(fastexp._BASE_TABLE_UPGRADE_USES + 1):
-        exponent = rng.getrandbits(256)
-        assert base_pow(base, exponent) == pow(base, exponent, P)
-    table = fastexp._base_tables.get(base)
-    assert table.window == fastexp.BASE_WINDOW_HOT
     exponent = rng.getrandbits(320)
     assert base_pow(base, exponent) == pow(base, exponent, P)
 

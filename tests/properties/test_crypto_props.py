@@ -173,11 +173,13 @@ def test_multi_pow_arbitrary_moduli(pairs, modulus):
 
 @given(base=group_bases, exponent=exponents)
 @settings(max_examples=40, deadline=None)
-def test_base_pow_matches_builtin_through_threshold_and_tables(base, exponent):
-    # Repeat past the table-build threshold so cold, building, and
-    # warm paths all get exercised against builtins.pow.
-    for _ in range(fastexp._BASE_TABLE_THRESHOLD + 1):
-        assert base_pow(base, exponent) == pow(base, exponent, P)
+def test_base_pow_matches_builtin_cold_and_prewarmed(base, exponent):
+    # Cold (builtins.pow) first, then through a prewarmed table, which
+    # itself falls back past its capacity.
+    fastexp.clear_caches()
+    assert base_pow(base, exponent) == pow(base, exponent, P)
+    fastexp.prewarm_base(base)
+    assert base_pow(base, exponent) == pow(base, exponent, P)
 
 
 @given(exponent=exponents)
