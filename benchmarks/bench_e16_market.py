@@ -43,27 +43,16 @@ an ``R``-member replica group (:mod:`repro.market.replication`);
 headline fingerprint byte-for-byte — the crash/recovery axis itself
 is E17's (``bench_e17_faults.py``).
 
-With ``--exec processes`` the headline run executes on the
-process-per-shard backend of :func:`repro.market.open_market` (one
-worker per coordinator shard, seal-verification partitioned by shard
-ownership): the benchmark runs the headline on *both* backends,
-asserts the reports are byte-identical — same fingerprint, same
-render — and gates the wall-clock speedup when the host has the cores
-to show it (>= 2x at 4 shards on >= 4 cores, >= 1.3x at 2 shards on
->= 2 cores).
-
 The report contains simulation quantities only (chain ticks, counts,
-fingerprints), so it is byte-identical across hosts, runs, ``--jobs``
-settings, and ``--exec`` backends.  Wall-clock throughput goes to
-``BENCH_market.json`` (schema ``BENCH_market/v6``: adds the
-``seal_policy`` / ``fee_priced_out`` / ``fees_accrued`` fee-market
-fields next to v5's ``exec_backend`` and ``speedup_vs_inline``) via
-``main``::
+fingerprints), so it is byte-identical across hosts, runs and
+``--jobs`` settings.  Wall-clock throughput goes to
+``BENCH_market.json`` (schema ``BENCH_market/v7``: v6's fee-market
+fields ``seal_policy`` / ``fee_priced_out`` / ``fees_accrued``, without
+v5's two execution-backend keys) via ``main``::
 
     python benchmarks/bench_e16_market.py [--quick] [--jobs N]
                                           [--protocol-mix] [--shards M]
                                           [--replication R]
-                                          [--exec {inline,processes}]
                                           [--output BENCH_market.json]
 """
 
@@ -71,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -93,12 +81,11 @@ _SWEEP_BASE = MarketProfile(
 def run_market(
     profile: MarketProfile,
     config: MarketConfig | None = None,
-    exec_backend: str = "inline",
 ) -> tuple[MarketReport, float]:
     """Run one market; return (report, wall seconds)."""
     started = time.perf_counter()
     workload = MarketWorkload(profile)
-    report = open_market(workload, config, backend=exec_backend).run()
+    report = open_market(workload, config).run()
     return report, time.perf_counter() - started
 
 
@@ -161,7 +148,6 @@ def make_report(
     quick: bool = False,
     shards: int = 1,
     trace: str | None = None,
-    exec_backend: str = "inline",
     chaos: float = 0.0,
     seal_policy: str = "fifo",
 ) -> str:
@@ -200,10 +186,7 @@ def make_report(
             if config is not None
             else MarketConfig(chaos=plan)
         )
-    # The backend applies to the headline run only: the sweep tables
-    # are process-pooled already, and a backend cannot change report
-    # bytes anyway (CI cmp's inline vs processes output to prove it).
-    headline, _ = run_market(profile, config, exec_backend=exec_backend)
+    headline, _ = run_market(profile, config)
     if telemetry is not None:
         write_trace_jsonl(telemetry, trace)
     return (
@@ -393,8 +376,6 @@ def write_market_json(
     profile: MarketProfile | None = None,
     shards: int = 1,
     replication: int = 1,
-    exec_backend: str = "inline",
-    speedup_vs_inline: float | None = None,
 ) -> dict:
     """Write ``BENCH_market.json``; runs the market unless given a run.
 
@@ -404,9 +385,6 @@ def write_market_json(
     shard replicated that many ways (fault-free — so the fingerprint
     stays the unreplicated one, which is the point: the perf baseline
     covers the replicated path without changing behaviour).
-    ``exec_backend`` records which execution backend produced the
-    metrics; ``speedup_vs_inline`` is the measured processes-vs-inline
-    wall-clock ratio when ``main`` ran both.
     """
     if run is not None and profile is None:
         raise ValueError("a precomputed run needs its profile")
@@ -415,16 +393,10 @@ def write_market_json(
     config = (
         MarketConfig(replication_factor=replication) if replication > 1 else None
     )
-    report, wall_s = (
-        run if run is not None
-        else run_market(profile, config, exec_backend=exec_backend)
-    )
+    report, wall_s = run if run is not None else run_market(profile, config)
     metrics = market_metrics(report, wall_s)
-    metrics["exec_backend"] = exec_backend
-    if speedup_vs_inline is not None:
-        metrics["speedup_vs_inline"] = round(speedup_vs_inline, 3)
     payload = {
-        "schema": "BENCH_market/v6",
+        "schema": "BENCH_market/v7",
         "python": platform.python_version(),
         "quick": quick,
         "profile": {
@@ -463,13 +435,6 @@ def main(argv: list[str]) -> int:
                         help="replica group size per shard (1 = "
                              "unreplicated; fault-free either way, so "
                              "the fingerprint must not change)")
-    parser.add_argument("--exec", dest="exec_backend", default="inline",
-                        choices=("inline", "processes"),
-                        help="execution backend for the headline run; "
-                             "'processes' runs one worker per shard, "
-                             "must reproduce the inline report "
-                             "byte-for-byte, and gates the wall-clock "
-                             "speedup when the host has the cores")
     parser.add_argument("--trace", metavar="OUT", default=None,
                         help="write a deal-lifecycle trace (JSONL) of the "
                              "headline run; byte-neutral — report bytes "
@@ -509,42 +474,11 @@ def main(argv: list[str]) -> int:
         or chaos_plan is not None or args.seal_policy != "fifo"
         else None
     )
-    run = run_market(profile, config, exec_backend=args.exec_backend)
-    speedup = None
-    if args.exec_backend == "processes":
-        # The equivalence-and-scaling gate: the same profile inline
-        # (without telemetry — report bytes are telemetry-neutral by
-        # contract) must produce the identical report, and on a host
-        # with the cores the processes backend must be faster.
-        baseline_config = (
-            MarketConfig(replication_factor=args.replication,
-                         chaos=chaos_plan, seal_policy=args.seal_policy)
-            if args.replication > 1 or chaos_plan is not None
-            or args.seal_policy != "fifo"
-            else None
-        )
-        inline_report, inline_wall = run_market(profile, baseline_config)
-        if inline_report.render() != run[0].render():
-            print("FAIL: processes report differs from inline")
-            return 1
-        speedup = inline_wall / run[1] if run[1] else 0.0
-        cores = os.cpu_count() or 1
-        effective = min(cores, profile.shards)
-        print(f"exec backends: inline {inline_wall:.2f}s, processes "
-              f"{run[1]:.2f}s, speedup {speedup:.2f}x "
-              f"(cores={cores}, shards={profile.shards}); reports "
-              "byte-identical")
-        floor = 2.0 if effective >= 4 else 1.3 if effective >= 2 else None
-        if floor is not None and speedup < floor:
-            print(f"FAIL: processes speedup {speedup:.2f}x < {floor}x "
-                  f"floor at {effective} effective workers")
-            return 1
+    run = run_market(profile, config)
     payload = write_market_json(args.output, quick=args.quick,
                                 mixed=args.protocol_mix, run=run,
                                 profile=profile,
-                                replication=args.replication,
-                                exec_backend=args.exec_backend,
-                                speedup_vs_inline=speedup)
+                                replication=args.replication)
     metrics = payload["metrics"]
     width = max(len(name) for name in metrics)
     for name, value in metrics.items():

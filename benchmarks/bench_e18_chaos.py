@@ -3,11 +3,9 @@
 PR 9 hardens every message plane against seeded chaos: the ops bus
 becomes a :class:`~repro.sim.network.ChaosBus` (drop / duplicate /
 delay / reorder per transmission, plus at-least-once ack/resend
-delivery with per-sender dedup windows), the replication delta network
-rides a :class:`~repro.sim.faults.MessageStorm` with reliable
-shipping, and the ``processes`` backend supervises its workers —
-heartbeats, stall detection, restart from replay with a state-digest
-proof.  E18 measures what that hardening buys:
+delivery with per-sender dedup windows) and the replication delta
+network rides a :class:`~repro.sim.faults.MessageStorm` with reliable
+shipping.  E18 measures what that hardening buys:
 
 * a **chaos sweep** over fault intensity × replication factor: for
   each point a seeded :class:`~repro.sim.chaos.ChaosPlan` (all four
@@ -17,11 +15,10 @@ proof.  E18 measures what that hardening buys:
   actually fired), at-least-once resends, suppressed duplicates, and
   invariant violations;
 * a **chaos conformance gate**: at intensity >= 10% with replication
-  factor 3, a seeded crash/recover schedule *and* a mid-deal
-  ``WorkerKill`` on the ``processes`` backend, the market must still
+  factor 3 and a seeded crash/recover schedule, the market must still
   commit at least 1,000 deals with zero conservation / exactly-once
-  violations, every hazard class must actually fire, and the killed
-  worker's restart must be digest-verified by the supervisor.
+  violations, every hazard class must actually fire, and at least one
+  replica crash must fire.
 
 Every column is a deterministic seeded simulation quantity: the chaos
 schedule is a pure function of (seed, transmission index), so CI
@@ -42,9 +39,8 @@ from functools import partial
 
 from repro.analysis.tables import render_table
 from repro.market import MarketConfig, MarketReport, open_market
-from repro.market.runtime import ProcessBackend
 from repro.sim.chaos import ChaosPlan
-from repro.sim.faults import FaultPlan, ReplicaCrash, WorkerKill
+from repro.sim.faults import FaultPlan, ReplicaCrash
 from repro.sim.rng import DeterministicRng
 from repro.workloads.market import MarketProfile, MarketWorkload
 
@@ -52,10 +48,6 @@ from repro.workloads.market import MarketProfile, MarketWorkload
 # all four hazards on both planes) × replica-group size.
 INTENSITY_SWEEP = [0.0, 0.05, 0.15]
 FACTOR_SWEEP = [1, 3]
-
-# The worker kill lands here — early enough that deals admitted in the
-# opening ticks are mid-flight when worker 1 dies.
-_KILL_AT = 14.0
 
 _PROTOCOL_MIX = (("unanimity", 1.0), ("timelock", 1.0), ("cbc", 1.0))
 
@@ -203,7 +195,6 @@ def _gate_profile(quick: bool) -> MarketProfile:
 def _gate_config(profile: MarketProfile) -> MarketConfig:
     span = profile.deals / profile.arrival_rate
     plan = chaos_schedule(profile.shards, 3, span, profile.seed)
-    plan.add(WorkerKill(worker=min(1, profile.shards - 1), at_time=_KILL_AT))
     return MarketConfig(
         replication_factor=3,
         fault_plan=plan,
@@ -211,37 +202,13 @@ def _gate_config(profile: MarketProfile) -> MarketConfig:
     )
 
 
-def gate_run(
-    quick: bool = False, supervised: bool = True
-) -> tuple[MarketReport, ProcessBackend | None]:
-    """The acceptance run: seeded chaos + crashes + a mid-deal worker kill.
-
-    Supervised (the CLI and the shape checks), it runs on the
-    ``processes`` backend when workers can be forked: the kill then
-    actually fells a worker and the supervisor must recover it.  With
-    ``supervised=False`` — or when fork is unavailable — it runs
-    inline, where worker faults are inert by construction, and the
-    backend comes back ``None``.  Report bytes are identical either
-    way; ``make_report`` always takes the inline path so ``run_all``
-    output is byte-identical whatever the job count (pool workers are
-    daemonic and cannot fork).
-    """
+def gate_run(quick: bool = False) -> MarketReport:
+    """The acceptance run: seeded chaos plus replica crashes."""
     profile = _gate_profile(quick)
-    config = _gate_config(profile)
-    if not supervised or not ProcessBackend._can_fork():
-        return open_market(MarketWorkload(profile), config).run(), None
-    backend = ProcessBackend(heartbeat_interval=0.2, stall_timeout=60.0)
-    report = open_market(
-        MarketWorkload(profile), config, backend=backend
-    ).run()
-    return report, backend
+    return open_market(MarketWorkload(profile), _gate_config(profile)).run()
 
 
-def check_gate(
-    report: MarketReport,
-    backend: ProcessBackend | None,
-    quick: bool = False,
-) -> list[str]:
+def check_gate(report: MarketReport, quick: bool = False) -> list[str]:
     """The E18 acceptance criteria; returns failures (empty = pass).
 
     The quick floor reflects the quick profile's scale (120 deals on
@@ -264,32 +231,14 @@ def check_gate(
             failures.append(f"hazard never fired: {counter} == 0")
     if report.faults_injected == 0:
         failures.append("no replica crash fired (schedule is empty)")
-    if backend is not None:
-        stats = backend.stats
-        if stats["kills_detected"] == 0:
-            failures.append("worker kill was never detected")
-        if stats["restarts"] == 0:
-            failures.append("killed worker was never restarted")
-        if stats["restarts_verified"] != stats["restarts"]:
-            failures.append(
-                f"{stats['restarts'] - stats['restarts_verified']} restarts "
-                "not digest-verified"
-            )
-        if stats["degraded"]:
-            failures.append("backend degraded to inline")
     return failures
 
 
-def gate_table(
-    quick: bool = False,
-    report: MarketReport | None = None,
-    backend: ProcessBackend | None = None,
-) -> str:
+def gate_table(quick: bool = False, report: MarketReport | None = None) -> str:
     if report is None:
-        report, backend = gate_run(quick=quick)
-    failures = check_gate(report, backend, quick=quick)
+        report = gate_run(quick=quick)
+    failures = check_gate(report, quick=quick)
     bus = dict(report.bus_stats)
-    supervisor = backend.stats if backend is not None else {}
     rows = [
         ["deals committed", report.committed],
         ["chaos msgs dropped", bus.get("chaos_dropped", 0)],
@@ -301,9 +250,6 @@ def gate_table(
         ["replica crashes injected", report.faults_injected],
         ["failovers", report.failovers],
         ["recoveries", report.recoveries],
-        ["worker kills detected", supervisor.get("kills_detected", 0)],
-        ["worker restarts", supervisor.get("restarts", 0)],
-        ["restarts digest-verified", supervisor.get("restarts_verified", 0)],
         ["availability", f"{report.availability:.3%}"],
         ["invariant violations", len(report.invariant_violations)],
         ["fingerprint", report.fingerprint()],
@@ -312,15 +258,13 @@ def gate_table(
     return render_table(
         ["measure", "value"], rows,
         title="E18 — chaos conformance gate (intensity "
-              f"{GATE_INTENSITY:.0%}, replication factor 3, mid-deal "
-              "worker kill)",
+              f"{GATE_INTENSITY:.0%}, replication factor 3)",
     )
 
 
 def make_report(jobs: int | None = None, quick: bool = False) -> str:
-    report, backend = gate_run(quick=quick, supervised=False)
     return (
-        gate_table(quick=quick, report=report, backend=backend)
+        gate_table(quick=quick)
         + "\n"
         + chaos_table(jobs=jobs, quick=quick)
     )
@@ -333,10 +277,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for the sweep")
     args = parser.parse_args(argv)
-    report, backend = gate_run(quick=args.quick)
-    print(gate_table(quick=args.quick, report=report, backend=backend))
+    report = gate_run(quick=args.quick)
+    print(gate_table(quick=args.quick, report=report))
     print(chaos_table(jobs=args.jobs, quick=args.quick))
-    failures = check_gate(report, backend, quick=args.quick)
+    failures = check_gate(report, quick=args.quick)
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
@@ -345,8 +289,8 @@ def main(argv: list[str]) -> int:
           f"{report.committed} commits under {bus.get('chaos_dropped', 0)} "
           f"drops / {bus.get('chaos_duplicated', 0)} dups / "
           f"{bus.get('chaos_reordered', 0)} reorders, "
-          f"{bus.get('resends', 0)} resends, every worker restart "
-          "digest-verified, 0 invariant violations")
+          f"{bus.get('resends', 0)} resends, "
+          f"{report.faults_injected} replica crashes, 0 invariant violations")
     return 0
 
 
@@ -354,8 +298,7 @@ def main(argv: list[str]) -> int:
 # Shape checks (run with the benchmark suite, not tier-1)
 # ----------------------------------------------------------------------
 def test_shape_gate_passes_quick():
-    report, backend = gate_run(quick=True)
-    assert check_gate(report, backend, quick=True) == []
+    assert check_gate(gate_run(quick=True), quick=True) == []
 
 
 def test_shape_chaos_free_point_is_clean():

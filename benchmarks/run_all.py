@@ -4,8 +4,7 @@ Usage::
 
     python benchmarks/run_all.py [output-file] [--jobs N] [--quick]
                                  [--shards M] [--trace PREFIX]
-                                 [--exec {inline,processes}] [--chaos P]
-                                 [--seal-policy POLICY]
+                                 [--chaos P] [--seal-policy POLICY]
 
 Writes the concatenated paper-style tables for E1..E19 (the full
 EXPERIMENTS.md evidence) to stdout and, if given, to ``output-file``.
@@ -33,12 +32,6 @@ support the fee-market axis (currently E16; E19 sweeps the policies
 natively).  The default ``fifo`` must not change a byte of any report
 — the fee machinery is structurally absent — and CI cmp's a
 ``--seal-policy fifo`` run against the default to prove it.
-
-``--exec processes`` runs experiments that support an execution
-backend (currently E16) with one worker process per shard; reports
-stay byte-identical to ``--exec inline`` (CI cmp's the two).  Use
-``--jobs 1`` with it — inside a pool worker the backend falls back
-to inline anyway (daemonic processes cannot fork).
 
 ``--trace PREFIX`` writes each tracing experiment's deal-lifecycle
 trace to its own ``PREFIX.<id>.jsonl`` (concurrent ``--jobs`` workers
@@ -98,7 +91,6 @@ def run_experiment(
     quick: bool = False,
     shards: int = 1,
     trace: str | None = None,
-    exec_backend: str = "inline",
     chaos: float = 0.0,
     seal_policy: str = "fifo",
 ) -> tuple[str, str, str, float]:
@@ -115,8 +107,6 @@ def run_experiment(
         kwargs["shards"] = shards
     if trace is not None and "trace" in parameters:
         kwargs["trace"] = trace_path(trace, experiment_id)
-    if exec_backend != "inline" and "exec_backend" in parameters:
-        kwargs["exec_backend"] = exec_backend
     if chaos > 0 and "chaos" in parameters:
         kwargs["chaos"] = chaos
     if seal_policy != "fifo" and "seal_policy" in parameters:
@@ -176,11 +166,6 @@ def main(argv: list[str]) -> int:
                              "that support tracing (currently E16, E17) to "
                              "PREFIX.<id>.jsonl, then merge them into "
                              "PREFIX.jsonl; report bytes are unchanged")
-    parser.add_argument("--exec", dest="exec_backend", default="inline",
-                        choices=("inline", "processes"),
-                        help="execution backend for experiments that "
-                             "support one (currently E16); reports are "
-                             "byte-identical either way")
     parser.add_argument("--seal-policy", dest="seal_policy",
                         default="fifo",
                         choices=("fifo", "first_price", "base_fee"),
@@ -216,8 +201,8 @@ def main(argv: list[str]) -> int:
     from functools import partial
 
     runner = partial(run_experiment, quick=args.quick, shards=args.shards,
-                     trace=args.trace, exec_backend=args.exec_backend,
-                     chaos=args.chaos, seal_policy=args.seal_policy)
+                     trace=args.trace, chaos=args.chaos,
+                     seal_policy=args.seal_policy)
     started = time.monotonic()
     if jobs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None

@@ -155,7 +155,14 @@ def cmd_trace_summary(args) -> int:
     """Summarize a deal-lifecycle trace written by ``--trace``."""
     from repro.telemetry.export import load_trace, summarize, write_chrome_trace
 
-    records = load_trace(args.file)
+    try:
+        records = load_trace(args.file)
+    except OSError as exc:
+        print(f"error: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not records:
         print(f"no trace records in {args.file}")
         return 1

@@ -205,23 +205,12 @@ class VerifyAggregator:
             raise ConsensusError("max_blocks must be at least 1")
         self._schedule = schedule
         self.max_blocks = max_blocks
-        self._queue: list[tuple[list, object, object, int]] = []
+        self._queue: list[tuple[list, object]] = []
         self._flush_scheduled = False
         # Telemetry hook (repro.telemetry.Telemetry or None): flushes
         # report their merge width and pair counts; strictly
         # observational, one attribute check when off.
         self.telemetry = None
-        # Pluggable verification: when set, ``verify_many`` receives
-        # each flush chunk as ``[(key, owner, items), ...]`` and must
-        # return one verdict per batch in order.  The ``processes``
-        # execution backend plugs a partitioned verifier in here (each
-        # worker genuinely verifies only the batches it owns and
-        # exchanges the rest as SealVerdict messages); ``None`` means
-        # the merged :func:`schnorr_batch_verify_many` check, and both
-        # produce identical verdicts (the merged check succeeds iff
-        # every batch is individually valid, and its per-batch
-        # fallback *is* individual validity).
-        self.verify_many = None
         self.stats = {
             "flushes": 0,
             "batches": 0,
@@ -230,16 +219,13 @@ class VerifyAggregator:
             "isolation_fallbacks": 0,
         }
 
-    def enqueue(self, items: list, on_verdict, key=None, owner: int = 0) -> None:
+    def enqueue(self, items: list, on_verdict) -> None:
         """Queue one block's signature batch; ``on_verdict(ok)`` later.
 
         ``items`` are ``(public_key, message, signature)`` triples (one
         block's worth); the callback fires during this instant's flush.
-        ``key``/``owner`` identify the batch for a plugged
-        ``verify_many`` (the market keys by ``(chain_id, seq)`` and
-        owns by shard); both are inert on the default path.
         """
-        self._queue.append((items, on_verdict, key, owner))
+        self._queue.append((items, on_verdict))
         self.stats["batches"] += 1
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -251,7 +237,7 @@ class VerifyAggregator:
         self.stats["flushes"] += 1
         for start in range(0, len(queue), self.max_blocks):
             chunk = queue[start : start + self.max_blocks]
-            batches = [items for items, _, _, _ in chunk]
+            batches = [items for items, _ in chunk]
             if self.telemetry is not None:
                 self.telemetry.verify_flush(
                     len(chunk), sum(len(items) for items in batches)
@@ -259,15 +245,10 @@ class VerifyAggregator:
             if len(chunk) > 1:
                 self.stats["merged_flushes"] += 1
                 self.stats["merged_batches"] += len(chunk)
-            if self.verify_many is not None:
-                verdicts = self.verify_many(
-                    [(key, owner, items) for items, _, key, owner in chunk]
-                )
-            else:
-                verdicts = schnorr_batch_verify_many(batches)
+            verdicts = schnorr_batch_verify_many(batches)
             if not all(verdicts):
                 self.stats["isolation_fallbacks"] += 1
-            for (_, on_verdict, _, _), verdict in zip(chunk, verdicts):
+            for (_, on_verdict), verdict in zip(chunk, verdicts):
                 on_verdict(verdict)
 
 

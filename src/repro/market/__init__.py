@@ -37,9 +37,9 @@ space.  This package is the runtime for that regime:
   percentiles, and abort rates — while every shard's chains, mempools
   and commit log live in that shard's
   :class:`~repro.market.runtime.ShardRuntime`, reached only through
-  typed message envelopes.  :func:`open_market` is the entry point and
-  picks the execution backend (``inline`` or one supervised worker
-  process per shard).
+  typed message envelopes.  :func:`open_market` is the entry point: it
+  builds the coordinator, whose ``run()`` executes the whole market
+  in-process.
 * :mod:`repro.market.fees` — block-space economics: every mempool
   sells its slots through a pluggable sealing policy (FIFO /
   first-price priority / EIP-1559-style base fee), deals co-sign a
@@ -76,14 +76,12 @@ from repro.market.runtime import (
     DealPhase,
     MarketConfig,
     MarketCoordinator,
-    MarketHandle,
     MarketReport,
     open_market,
 )
 
 __all__ = [
     "open_market",
-    "MarketHandle",
     "MarketCoordinator",
     "DealPhase",
     "MarketConfig",

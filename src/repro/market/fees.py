@@ -114,7 +114,7 @@ class SealPolicy:
     seal under this policy.  Implementations must be deterministic
     pure functions of their inputs plus policy-local state — no
     randomness, no wall clock — so reports stay byte-identical across
-    job counts and backends.
+    runs and job counts.
     """
 
     name = "?"

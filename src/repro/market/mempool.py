@@ -113,10 +113,10 @@ class StepMempool:
         self.aggregator = aggregator
         # The market runtime routes per-seal batches through its
         # VerifyService instead (a SealBatch message keyed
-        # (chain_id, seq), so the processes backend can partition the
-        # verification work); when set it supersedes ``aggregator``,
-        # which the service itself may still feed.  Standalone
-        # mempools (tests, single-chain tools) keep the direct paths.
+        # (chain_id, seq) over the market bus); when set it supersedes
+        # ``aggregator``, which the service itself may still feed.
+        # Standalone mempools (tests, single-chain tools) keep the
+        # direct paths.
         self.verify_service = verify_service
         # Telemetry hook (repro.telemetry.Telemetry or None): seals
         # report their occupancy and leftover depth; strictly

@@ -18,40 +18,20 @@ into an explicit, message-passing architecture:
 * :class:`VerifyService` — the verification plane: per-seal signature
   batches travel as ``SealBatch`` messages keyed ``(chain_id, seq)``
   into the shared :class:`~repro.consensus.validators.VerifyAggregator`.
-* :class:`ExecutionBackend` — the seam the message API buys.
-  :class:`InlineBackend` runs everything in-process (byte-identical
-  to the historical scheduler).  :class:`ProcessBackend` hosts the
-  verification work of each shard in its own worker process.
 
-**The barrier protocol.**  Messages are exchanged on simulated time:
-all messages for tick *t* are delivered before any runtime advances
-past *t*.  Inline, the bus delivers synchronously, so the barrier is
-trivially satisfied.  In the ``processes`` backend every worker
-replays the same deterministic simulation — identical event heap,
-identical messages, identical randomness — and the barrier is the
-verdict exchange: worker *w* genuinely verifies only the seal batches
-of chains owned by shard *w* (the expensive part of a market run) and
-publishes ``SealVerdict``\\ s; a worker that reaches a foreign batch
-at tick *t* blocks until the owner's verdict for *t* arrives.  No
-worker can pass a seal boundary before every shard's verification for
-that boundary is done, which is exactly the barrier — and because a
-merged Schnorr batch check succeeds iff every batch in it is
-individually valid (soundness error 2⁻⁶⁴, and the failure path falls
-back to per-batch isolation in both modes), the partitioned verdicts
-equal the merged ones and every worker's run — report, fingerprint,
-trace — is byte-identical to the inline run.  The backend proves it
-per run: all workers' fingerprints must agree.
+The whole market runs in one process on one simulated clock; the
+plain bus delivers every message synchronously at the tick it was
+posted.
 
 **Chaos hardening.**  With a :class:`~repro.sim.chaos.ChaosPlan` in
 the config the bus becomes a :class:`~repro.sim.network.ChaosBus`
 (seeded drop/duplicate/delay/reorder plus ack/resend at-least-once
 delivery), every handler below guards itself with a
-:class:`~repro.market.messages.DedupWindow`, the replication layer
-ships deltas reliably under a :class:`~repro.sim.faults.MessageStorm`,
-and the ``processes`` backend supervises its workers — heartbeats,
-stall detection, restart with a state-digest proof, and graceful
-degradation to inline execution.  Chaos off constructs the plain bus
-and schedules nothing extra, so default runs stay byte-identical.
+:class:`~repro.market.messages.DedupWindow`, and the replication
+layer ships deltas reliably under a
+:class:`~repro.sim.faults.MessageStorm`.  Chaos off constructs the
+plain bus and schedules nothing extra, so default runs stay
+byte-identical.
 
 The public entry point is :func:`repro.market.open_market`.
 """
@@ -59,11 +39,7 @@ The public entry point is :func:`repro.market.open_market`.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.analysis.tables import render_table
@@ -81,10 +57,7 @@ from repro.core.deal import (
 )
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.keys import Address, KeyPair, Wallet
-from repro.crypto.schnorr import (
-    batch_verify as schnorr_batch_verify,
-    batch_verify_many as schnorr_batch_verify_many,
-)
+from repro.crypto.schnorr import batch_verify as schnorr_batch_verify
 from repro.errors import MarketError
 from repro.market.book import MarketEscrowBook
 from repro.market.commitlog import MarketCommitLog
@@ -98,9 +71,7 @@ from repro.market.messages import (
     DedupWindow,
     Envelope,
     SealBatch,
-    SealVerdict,
     SubmitOrder,
-    TelemetrySpan,
     VoteFanout,
 )
 from repro.market.order import SignedDealOrder, shard_of_deal
@@ -117,10 +88,6 @@ _ABORT_RETRY_LIMIT = 5
 
 COORDINATOR_ENDPOINT = "coordinator"
 VERIFY_ENDPOINT = "verify"
-
-# Exit code a WorkerKill-felled worker dies with, so the supervisor can
-# tell an injected kill from an organic crash.
-_WORKER_KILL_EXIT = 73
 
 
 def shard_endpoint(shard: int) -> str:
@@ -452,7 +419,6 @@ class MarketReport:
                     kinds[kind] = kinds.get(kind, 0) + 1
                     fired += record.get("crashes", 0)
                     fired += record.get("recoveries", 0)
-                    fired += record.get("kills", 0)
                     dropped += record.get("dropped", 0)
                     duplicated += record.get("duplicated", 0)
                 plan = ", ".join(
@@ -460,6 +426,8 @@ class MarketReport:
                 )
                 rows += [
                     ["fault plan", plan],
+                    # Keep this label verbatim: fault reports (E17)
+                    # are compared byte for byte across changes.
                     ["fault firings (crash+recover+kill)", fired],
                     ["fault msg drops", dropped],
                     ["fault msg dups", duplicated],
@@ -532,10 +500,8 @@ class VerifyService:
     other message), and routes it into the shared
     :class:`~repro.consensus.validators.VerifyAggregator` — or, when
     aggregation is off, verifies it on the spot.  The settle callback
-    is held out-of-band keyed by the batch key, because callbacks
-    never cross a process boundary; the key is the whole wire
-    identity, which is what lets the ``processes`` backend partition
-    verification by the batch's owner shard.
+    is held out-of-band keyed by the batch key, so the message itself
+    carries only data.
     """
 
     def __init__(self, market: "MarketCoordinator"):
@@ -567,15 +533,10 @@ class VerifyService:
         settle = self._settles.pop(key, None)
         if settle is None:  # replayed batch already settled
             return
-        owner = self.market.chain_shard[batch.chain_id]
         items = list(batch.items)
         aggregator = self.market.verify_aggregator
         if aggregator is not None:
-            aggregator.enqueue(items, settle, key=key, owner=owner)
-            return
-        verifier = self.market.verifier
-        if verifier is not None:
-            settle(verifier.verify_one(key, owner, items))
+            aggregator.enqueue(items, settle)
         else:
             settle(schnorr_batch_verify(items))
 
@@ -780,8 +741,7 @@ class MarketCoordinator:
     ``commit_logs`` — over all shards; writes go through the bus.
     """
 
-    def __init__(self, workload, config: MarketConfig | None = None,
-                 verifier=None):
+    def __init__(self, workload, config: MarketConfig | None = None):
         self.workload = workload
         self.config = config or MarketConfig()
         self.telemetry = self.config.telemetry
@@ -806,6 +766,7 @@ class MarketCoordinator:
         # — the policy objects are never built.
         self.fee_ledger = FeeLedger()
         self.runs: dict[bytes, _DealRun] = {}
+        self._final_report: MarketReport | None = None
         self._receipts_seen = 0
         self._receipts_reverted = 0
         # Per-deal escrow contracts (timelock/CBC): contract name ->
@@ -833,12 +794,6 @@ class MarketCoordinator:
         )
         if self.verify_aggregator is not None:
             self.verify_aggregator.telemetry = self.telemetry
-        # The execution backend's verifier (None inline): when present
-        # it takes over the actual batch checks — partitioned across
-        # worker processes — while keys and verdict routing stay here.
-        self.verifier = verifier
-        if self.verify_aggregator is not None and verifier is not None:
-            self.verify_aggregator.verify_many = verifier.verify_many
         # Protocol-safety breaches observed directly by the drivers
         # (e.g. a stale proof accepted) — merged into the report's
         # invariant violations.
@@ -952,12 +907,6 @@ class MarketCoordinator:
             if plan is not None:
                 plan.install(self.replication.network)
                 plan.install_processes(self.replication)
-        if plan is not None and getattr(plan, "faults", ()):
-            # Worker-level faults (WorkerKill) are scheduled on *every*
-            # coordinator's simulator — inline and all SPMD workers
-            # alike, keeping the event heaps identical across backends
-            # — but only act in the worker whose index matches.
-            plan.install_workers(_WorkerFaultHost(self))
         # Telemetry attaches last so the BlockTap's chain subscriptions
         # run after the runtimes' own (observer order is registration
         # order — the tap reads what the phase engine already routed).
@@ -1013,11 +962,6 @@ class MarketCoordinator:
         message = envelope.payload
         if isinstance(message, BlockReceipts):
             self._handle_block_receipts(message)
-        elif isinstance(message, TelemetrySpan):
-            # The processes backend ships worker telemetry this way;
-            # inline runs never post one.
-            if self.telemetry is not None:
-                self.telemetry.absorb(message.payload)
         else:  # pragma: no cover - vocabulary is closed
             raise MarketError(
                 f"coordinator: unknown message {type(message).__name__}"
@@ -1081,7 +1025,12 @@ class MarketCoordinator:
     # Run loop
     # ------------------------------------------------------------------
     def run(self) -> MarketReport:
-        """Admit every order at its arrival time and run to quiescence."""
+        """Admit every order at its arrival time and run to quiescence.
+
+        A market runs once: later calls return the same report.
+        """
+        if self._final_report is not None:
+            return self._final_report
         for order in self.workload.orders():
             self.simulator.schedule_at(
                 order.arrival,
@@ -1095,23 +1044,8 @@ class MarketCoordinator:
             self.replication.finish(self.simulator.now)
         if self.telemetry is not None:
             self.telemetry.finalize(self)
-        return self._report()
-
-    def state_digest(self) -> str:
-        """A compact hash of every chain's committed state.
-
-        The ``processes`` supervisor uses this as its recovery proof:
-        a restarted worker must converge to the same digest as its
-        healthy peers before its run is accepted.
-        """
-        digest = tagged_hash(
-            "repro/market/state-digest",
-            b"".join(
-                self.chains[chain_id].state_hash()
-                for chain_id in sorted(self.chains)
-            ),
-        )
-        return digest.hex()[:32]
+        self._final_report = self._report()
+        return self._final_report
 
     def _admit(self, order: SignedDealOrder) -> None:
         spec = order.spec
@@ -1678,522 +1612,15 @@ class MarketCoordinator:
         )
 
 
-# ----------------------------------------------------------------------
-# Execution backends
-# ----------------------------------------------------------------------
-class _WorkerFaultHost:
-    """The adapter :meth:`FaultPlan.install_workers` aims worker faults at.
-
-    Every coordinator — inline and all SPMD workers alike — schedules
-    the same worker-fault events, keeping the event heaps identical
-    across backends; a fault only *acts* inside the worker whose index
-    matches, and never inside a restarted replacement (replacements run
-    with worker faults suppressed so recovery can complete).
-    """
-
-    def __init__(self, market: "MarketCoordinator"):
-        self.market = market
-
-    @property
-    def simulator(self) -> Simulator:
-        return self.market.simulator
-
-    def fires_worker_faults(self, worker: int) -> bool:
-        verifier = self.market.verifier
-        if verifier is None:
-            return False
-        if getattr(verifier, "suppress_worker_faults", False):
-            return False
-        return getattr(verifier, "index", None) == worker
-
-    def kill_worker(self, mode: str) -> None:
-        if mode == "hang":
-            while True:  # pragma: no cover - supervisor terminates us
-                time.sleep(3600.0)
-        os._exit(_WORKER_KILL_EXIT)
-
-
-class ExecutionBackend:
-    """Where a market run's work actually executes."""
-
-    name = "?"
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        raise NotImplementedError
-
-
-class InlineBackend(ExecutionBackend):
-    """Everything in this process — the historical scheduler, exactly."""
-
-    name = "inline"
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        return handle.market.run()
-
-
-class _PartitionedVerifier:
-    """One worker's slice of the market's signature verification.
-
-    Plugged into the shared :class:`VerifyAggregator` as its
-    ``verify_many`` hook: for each flush chunk the worker genuinely
-    batch-verifies only the seal batches whose chains its shard owns
-    (one merged multi-exponentiation over its own subset — merged-ok
-    iff every batch individually valid, so the per-batch verdicts
-    match the inline merged check), publishes those verdicts as
-    ``SealVerdict`` messages up the pipe, and blocks for the foreign
-    verdicts the other workers own.  Blocking *is* the simulated-time
-    barrier: nobody advances past a seal boundary until every shard's
-    verification for it has landed.
-    """
-
-    def __init__(self, index: int, conn, preload=None,
-                 suppress_worker_faults: bool = False):
-        self.index = index
-        self.conn = conn
-        self._foreign: dict[tuple[str, int], bool] = {}
-        self.stats = {"own_batches": 0, "foreign_batches": 0, "pairs_verified": 0}
-        # Supervision plumbing: ``waiting`` tells the heartbeat thread
-        # (and through it the supervisor) that a frozen event counter
-        # means "blocked on a foreign verdict", not "hung".  A restarted
-        # worker replays the run from scratch with the verdicts already
-        # relayed before the failure preloaded, so it never waits for a
-        # barrier the other workers have long passed.
-        self.waiting = False
-        self.suppress_worker_faults = suppress_worker_faults
-        for verdict in preload or ():
-            self._foreign[(verdict.chain_id, verdict.seq)] = verdict.ok
-
-    def verify_many(self, keyed: list) -> list:
-        own = [(key, items) for key, owner, items in keyed if owner == self.index]
-        local: dict[tuple[str, int], bool] = {}
-        if own:
-            verdicts = schnorr_batch_verify_many([items for _, items in own])
-            for (key, items), ok in zip(own, verdicts):
-                local[key] = ok
-                self.stats["own_batches"] += 1
-                self.stats["pairs_verified"] += len(items)
-                self.conn.send(("verdict", SealVerdict(key[0], key[1], ok)))
-        out = []
-        for key, owner, items in keyed:
-            if owner == self.index:
-                out.append(local[key])
-            else:
-                self.stats["foreign_batches"] += 1
-                out.append(self._await(key))
-        return out
-
-    def verify_one(self, key, owner: int, items: list) -> bool:
-        """The non-aggregated path: one batch, same ownership rule."""
-        return self.verify_many([(key, owner, items)])[0]
-
-    def _await(self, key: tuple[str, int]) -> bool:
-        self.waiting = True
-        try:
-            while key not in self._foreign:
-                message = self.conn.recv()
-                if message[0] == "verdict":
-                    verdict: SealVerdict = message[1]
-                    self._foreign[(verdict.chain_id, verdict.seq)] = verdict.ok
-        finally:
-            self.waiting = False
-        return self._foreign.pop(key)
-
-
-class _LockedConn:
-    """A pipe end whose ``send`` is serialized across threads.
-
-    The worker's main thread (verdicts, report, done) and its
-    heartbeat daemon share one pipe to the supervisor; ``Connection``
-    sends are not atomic across threads, so both go through one lock.
-    ``recv`` stays main-thread-only and needs no lock.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn
-        self._lock = threading.Lock()
-
-    def send(self, message) -> None:
-        with self._lock:
-            self._conn.send(message)
-
-    def recv(self):
-        return self._conn.recv()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-def _heartbeat_loop(conn, index: int, market, verifier, interval: float) -> None:
-    """Beat until the pipe dies: (events processed, blocked-on-barrier)."""
-    while True:
-        try:
-            conn.send((
-                "heartbeat",
-                index,
-                market.simulator.events_processed,
-                verifier.waiting,
-            ))
-        except (BrokenPipeError, OSError):  # worker done or parent gone
-            return
-        time.sleep(interval)
-
-
-def _worker_run(index: int, workload, config, conn, options=None) -> None:
-    """One shard worker: replay the full market, own one verify slice."""
-    options = options or {}
-    try:
-        if index > 0 and config is not None and config.telemetry is not None:
-            # Only worker 0's telemetry ships home; the others skip the
-            # (byte-neutral) tracing work entirely.
-            config = replace(config, telemetry=None)
-        conn = _LockedConn(conn)
-        verifier = _PartitionedVerifier(
-            index,
-            conn,
-            preload=options.get("preload_verdicts"),
-            suppress_worker_faults=options.get("suppress_worker_faults", False),
-        )
-        market = MarketCoordinator(workload, config, verifier=verifier)
-        interval = options.get("heartbeat_interval", 0.0)
-        if interval > 0:
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(conn, index, market, verifier, interval),
-                name=f"market-heartbeat-{index}",
-                daemon=True,
-            ).start()
-        report = market.run()
-        if index == 0:
-            conn.send(("report", report))
-            if market.telemetry is not None:
-                conn.send((
-                    "telemetry",
-                    Envelope(
-                        sender=shard_endpoint(0),
-                        shard=0,
-                        tick=market.simulator.now,
-                        payload=TelemetrySpan(
-                            kind="run-export",
-                            payload=market.telemetry.export_payload(),
-                        ),
-                    ),
-                ))
-        conn.send(("done", index, report.fingerprint(), market.state_digest()))
-    except BaseException:  # noqa: BLE001 - ship the traceback to the parent
-        import traceback
-
-        try:
-            conn.send(("error", index, traceback.format_exc()))
-        except OSError:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        conn.close()
-
-
-class _WorkerSlot:
-    """The supervisor's bookkeeping for one worker index."""
-
-    def __init__(self, index: int, conn, proc):
-        self.index = index
-        self.conn = conn
-        self.proc = proc
-        self.restarts = 0
-        self.restarted = False
-        self.done = False
-        self.progress = -1
-        self.last_change = time.monotonic()
-        self.waiting = False
-
-
-class ProcessBackend(ExecutionBackend):
-    """One supervised worker process per shard, verdicts per barrier.
-
-    Every worker replays the same deterministic simulation; the
-    expensive part — seal-batch signature verification, ~90% of a
-    sharded E16's wall-clock — is partitioned by shard ownership and
-    the verdicts relayed through the parent, so M shards put M cores
-    on the verification plane while every byte of every worker's run
-    stays identical (the backend cross-checks all workers'
-    fingerprints before returning).  Falls back to the inline
-    execution (byte-identical by construction) when workers cannot be
-    forked — inside a daemonic pool worker such as ``run_all.py
-    --jobs``, or on platforms without ``fork``.
-
-    **Supervision.**  Workers heartbeat (events processed,
-    blocked-on-barrier) every ``heartbeat_interval`` seconds.  The
-    supervisor detects a killed worker by pipe EOF (exit code 73 =
-    injected kill, anything else = crash) and a hung one by a frozen
-    event counter past ``stall_timeout`` (workers legitimately blocked
-    awaiting a foreign verdict are exempt).  A failed worker is
-    restarted with worker faults suppressed and the full verdict log
-    relayed so far preloaded — passed as process *arguments*, never
-    over the pipe, so a restart can never deadlock on a full pipe —
-    and replays the run from scratch; its final report fingerprint
-    *and* chain-state digest must match its healthy peers
-    (``restarts_verified`` counts the proof).  After ``max_restarts``
-    failures of one slot the backend degrades gracefully: it tears the
-    workers down and runs the whole market inline.  ``stats`` carries
-    the observable accounting (detections, restarts, proofs,
-    heartbeats, degradations); the report itself stays
-    backend-invariant.
-    """
-
-    name = "processes"
-
-    def __init__(self, heartbeat_interval: float = 0.5,
-                 stall_timeout: float = 30.0, max_restarts: int = 2):
-        self.heartbeat_interval = heartbeat_interval
-        self.stall_timeout = stall_timeout
-        self.max_restarts = max_restarts
-        self.stats = {
-            "kills_detected": 0,
-            "hangs_detected": 0,
-            "crashes_detected": 0,
-            "restarts": 0,
-            "restarts_verified": 0,
-            "heartbeats": 0,
-            "degraded": 0,
-        }
-
-    @staticmethod
-    def _can_fork() -> bool:
-        return (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        )
-
-    def _spawn(self, context, index: int, workload, config, options):
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_worker_run,
-            args=(index, workload, config, child_conn, options),
-            name=f"market-shard-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
-    def execute(self, handle: "MarketHandle") -> MarketReport:
-        workload, config = handle.workload, handle.config
-        if not self._can_fork():
-            return MarketCoordinator(workload, config).run()
-        workers = int(getattr(workload, "shards", 1) or 1)
-        context = multiprocessing.get_context("fork")
-        options = {"heartbeat_interval": self.heartbeat_interval}
-        slots: dict[int, _WorkerSlot] = {}
-        for index in range(workers):
-            conn, proc = self._spawn(context, index, workload, config, options)
-            slots[index] = _WorkerSlot(index, conn, proc)
-        try:
-            (report, telemetry_export, fingerprints, digests, errors,
-             degrade) = self._supervise(context, workload, config, slots)
-        finally:
-            for slot in slots.values():
-                try:
-                    slot.conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-                if slot.proc.is_alive():
-                    slot.proc.terminate()
-                slot.proc.join()
-        if errors:
-            raise MarketError(
-                "market worker failed:\n" + "\n".join(errors)
-            )
-        if degrade:
-            self.stats["degraded"] += 1
-            return MarketCoordinator(workload, config).run()
-        if report is None or len(fingerprints) != workers:
-            raise MarketError(
-                f"market workers exited early: {len(fingerprints)}/{workers} "
-                "fingerprints received"
-            )
-        if len(set(fingerprints.values())) != 1:
-            raise MarketError(
-                f"market workers diverged: fingerprints {sorted(fingerprints.items())}"
-            )
-        if len(set(digests.values())) != 1:
-            raise MarketError(
-                f"market workers diverged: state digests {sorted(digests.items())}"
-            )
-        for slot in slots.values():
-            if slot.restarted:
-                # Digest agreement above is the recovery proof.
-                self.stats["restarts_verified"] += 1
-        if (
-            config is not None
-            and config.telemetry is not None
-            and telemetry_export is not None
-        ):
-            config.telemetry.absorb(telemetry_export.payload.payload)
-        return report
-
-    def _supervise(self, context, workload, config, slots):
-        """Pump the verdict exchange, watching worker health, until done.
-
-        Each ``SealVerdict`` a worker publishes is appended to the
-        verdict log and forwarded to every other running worker;
-        report/telemetry/fingerprint/digest messages are collected.
-        Worker death (EOF) and stalls (frozen heartbeats) trigger a
-        restart with the log preloaded; repeated failure of one slot
-        requests degradation.  A deterministic worker error aborts.
-        """
-        verdict_log: list = []
-        report = None
-        telemetry_export = None
-        fingerprints: dict[int, str] = {}
-        digests: dict[int, str] = {}
-        errors: list[str] = []
-        degrade = False
-
-        def restart(slot: _WorkerSlot, detected: str) -> None:
-            nonlocal degrade
-            self.stats[detected] += 1
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-            slot.proc.join()
-            try:
-                slot.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if slot.restarts >= self.max_restarts:
-                degrade = True
-                return
-            slot.restarts += 1
-            slot.restarted = True
-            self.stats["restarts"] += 1
-            slot.conn, slot.proc = self._spawn(
-                context, slot.index, workload, config,
-                {
-                    "heartbeat_interval": self.heartbeat_interval,
-                    "suppress_worker_faults": True,
-                    "preload_verdicts": tuple(verdict_log),
-                },
-            )
-            slot.progress = -1
-            slot.waiting = False
-            slot.last_change = time.monotonic()
-
-        while (not degrade and not errors
-               and any(not slot.done for slot in slots.values())):
-            live = {
-                slot.conn: slot for slot in slots.values() if not slot.done
-            }
-            ready = multiprocessing.connection.wait(
-                list(live), timeout=self.heartbeat_interval or 0.05
-            )
-            for conn in ready:
-                slot = live[conn]
-                if slot.conn is not conn:  # replaced by a restart above
-                    continue
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    slot.proc.join()
-                    restart(slot, "kills_detected"
-                            if slot.proc.exitcode == _WORKER_KILL_EXIT
-                            else "crashes_detected")
-                    continue
-                kind = message[0]
-                if kind == "verdict":
-                    verdict_log.append(message[1])
-                    for other in slots.values():
-                        if other is slot or other.done:
-                            continue
-                        try:
-                            other.conn.send(message)
-                        except (BrokenPipeError, OSError):
-                            pass  # death is handled on its own EOF
-                elif kind == "heartbeat":
-                    self.stats["heartbeats"] += 1
-                    slot.waiting = message[3]
-                    if message[2] != slot.progress:
-                        slot.progress = message[2]
-                        slot.last_change = time.monotonic()
-                elif kind == "report":
-                    report = message[1]
-                elif kind == "telemetry":
-                    telemetry_export = message[1]
-                elif kind == "done":
-                    fingerprints[message[1]] = message[2]
-                    digests[message[1]] = message[3]
-                    slot.done = True
-                elif kind == "error":
-                    errors.append(message[2])
-            if self.stall_timeout > 0:
-                now = time.monotonic()
-                for slot in slots.values():
-                    if slot.done or slot.waiting:
-                        continue
-                    if now - slot.last_change > self.stall_timeout:
-                        restart(slot, "hangs_detected")
-        return report, telemetry_export, fingerprints, digests, errors, degrade
-
-
-_BACKENDS = {
-    InlineBackend.name: InlineBackend,
-    ProcessBackend.name: ProcessBackend,
-}
-
-
-class MarketHandle:
-    """A constructed market plus the backend that will run it.
-
-    The public surface of :func:`open_market`: ``run()`` executes the
-    workload once (memoized), ``report()`` returns the same
-    :class:`MarketReport`, ``backend`` names the execution backend.
-    With the inline backend the underlying :class:`MarketCoordinator`
-    is built eagerly and exposed as ``.market``, so tests and tools
-    can inject faults or inspect chains before running; the
-    ``processes`` backend owns its coordinators inside the workers and
-    leaves ``.market`` as ``None``.
-    """
-
-    def __init__(self, workload, config: MarketConfig | None,
-                 backend: ExecutionBackend):
-        self.workload = workload
-        self.config = config
-        self.backend = backend
-        self.market: MarketCoordinator | None = (
-            MarketCoordinator(workload, config)
-            if backend.name == InlineBackend.name
-            else None
-        )
-        self._report: MarketReport | None = None
-
-    def run(self) -> MarketReport:
-        """Run the market to quiescence (once) and return its report."""
-        if self._report is None:
-            self._report = self.backend.execute(self)
-        return self._report
-
-    def report(self) -> MarketReport:
-        """The run's report (runs the market if it has not run yet)."""
-        return self.run()
-
-
-def open_market(
-    workload,
-    config: MarketConfig | None = None,
-    backend: str | ExecutionBackend = "inline",
-) -> MarketHandle:
-    """Open one market over ``workload`` and pick its execution backend.
+def open_market(workload, config: MarketConfig | None = None) -> MarketCoordinator:
+    """Open one market over ``workload``; ``run()`` executes it in-process.
 
     The public entry point of :mod:`repro.market`::
 
         from repro.market import open_market
         report = open_market(MarketWorkload(profile)).run()
 
-    ``backend`` is ``"inline"`` (default: everything in-process),
-    ``"processes"`` (one supervised worker per shard; same bytes, more
-    cores), or an :class:`ExecutionBackend` instance.
+    The returned :class:`MarketCoordinator` is built eagerly, so tests
+    and tools can inject faults or inspect chains before running.
     """
-    if isinstance(backend, str):
-        try:
-            backend = _BACKENDS[backend]()
-        except KeyError:
-            raise MarketError(
-                f"unknown execution backend {backend!r} "
-                f"(expected one of {sorted(_BACKENDS)})"
-            ) from None
-    return MarketHandle(workload, config, backend)
+    return MarketCoordinator(workload, config)

@@ -252,42 +252,6 @@ class MessageStorm:
 
 
 @dataclass
-class WorkerKill:
-    """Kill (or hang) one worker of the ``processes`` backend mid-run.
-
-    Worker level: the fault is scheduled on *every* coordinator's
-    simulator — inline and all SPMD workers alike, so the event heaps
-    stay identical across backends — but it only *acts* in the worker
-    whose index matches, via the host's ``kill_worker``.  ``mode
-    "kill"`` exits the process hard (``os._exit``); ``"hang"`` spins
-    it forever, exercising the supervisor's stall detector instead of
-    its EOF path.  Counters stay zero in the surviving processes (the
-    victim's memory dies with it); the supervisor's ``kills_detected``
-    / ``restarts`` stats carry the observable accounting, keeping the
-    report itself backend-invariant.
-    """
-
-    worker: int
-    at_time: float
-    mode: str = "kill"
-    kills_fired: int = 0
-
-    def install_worker(self, host) -> None:
-        """Schedule the (conditional) kill on the host's simulator."""
-        def fire() -> None:
-            if not host.fires_worker_faults(self.worker):
-                return
-            self.kills_fired += 1
-            host.kill_worker(self.mode)
-
-        host.simulator.schedule_at(self.at_time, fire, label="fault/worker-kill")
-
-    def counters(self) -> dict[str, int]:
-        """This fault's observable effect so far."""
-        return {"kills": self.kills_fired}
-
-
-@dataclass
 class ReplicaCrash:
     """Kill a replication-layer replica at ``at_time``; optionally revive it.
 
@@ -409,17 +373,6 @@ class FaultPlan:
             if hasattr(fault, "install_process"):
                 fault.install_process(host)
 
-    def install_workers(self, host) -> None:
-        """Install every worker-level fault on ``host``.
-
-        The host must expose ``simulator``, ``fires_worker_faults``
-        and ``kill_worker`` (the market coordinator's worker-fault
-        host does).  Other faults are skipped.
-        """
-        for fault in self.faults:
-            if hasattr(fault, "install_worker"):
-                fault.install_worker(host)
-
     def stats(self) -> list[dict]:
         """Per-fault effect counters, in plan order.
 
@@ -433,10 +386,6 @@ class FaultPlan:
             target = getattr(fault, "endpoint", None)
             if target is None:
                 target = getattr(fault, "replica", None)
-            if target is None:
-                worker = getattr(fault, "worker", None)
-                if worker is not None:
-                    target = f"worker-{worker}"
             if target is None:
                 groups = getattr(fault, "groups", None)
                 if groups is not None:

@@ -39,18 +39,15 @@ class Message:
 class Envelope:
     """The one typed wrapper every market message plane shares.
 
-    Replication delta shipping, telemetry span emission, and the shard
-    runtime messages (:mod:`repro.market.messages`) all travel as an
-    ``Envelope``: who sent it, which shard it concerns, the simulated
-    tick it was posted at, and a frozen payload.  Because the wrapper
+    Replication delta shipping and the shard runtime messages
+    (:mod:`repro.market.messages`) all travel as an ``Envelope``: who
+    sent it, which shard it concerns, the simulated tick it was posted
+    at, and a frozen payload.  Because the wrapper
     is uniform, :class:`Network` filter/drop/delay stats — and the
     fault injectors behind them — apply to every plane the same way:
     a fault filter keyed on endpoint names never needs to know which
     plane a message belongs to, and a payload-typed consumer can
     ``isinstance`` its way through any plane's traffic.
-
-    Envelopes are plain frozen dataclasses so they pickle across the
-    process boundary of the ``processes`` execution backend unchanged.
 
     ``msg_id`` is the at-least-once delivery tag: a per-(sender,
     recipient) monotonic sequence number stamped by :class:`ChaosBus`.

@@ -52,13 +52,24 @@ def write_trace_jsonl(telemetry, path: str) -> int:
 
 
 def load_trace(path: str) -> list[dict]:
-    """Read a JSONL trace back into its records."""
+    """Read a JSONL trace back into its records.
+
+    A line that is not a JSON object raises ``ValueError`` naming the
+    file and the 1-based line number.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{number}: not JSON ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            records.append(record)
     return records
 
 

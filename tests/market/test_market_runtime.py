@@ -9,6 +9,8 @@ mempool backpressure.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from market_test_utils import HandWorkload, run_hand, two_party_swap
@@ -16,6 +18,7 @@ from repro.core.deal import Asset, DealSpec, TransferStep
 from repro.errors import MarketError
 from repro.market.order import sign_order
 from repro.market import DealPhase, MarketConfig, MarketCoordinator, open_market
+from repro.sim.faults import FaultPlan, ReplicaCrash
 from repro.workloads.market import MarketProfile, MarketWorkload
 
 
@@ -181,3 +184,71 @@ def test_smoke_profile_run_is_fingerprint_stable():
     assert reports[0].fingerprint() == reports[1].fingerprint()
     assert reports[0].render() == reports[1].render()
     assert reports[0].invariant_violations == ()
+
+
+# ----------------------------------------------------------------------
+# The entry point and the protocol-mix matrix
+# ----------------------------------------------------------------------
+PROTOCOL_MIX = (("unanimity", 1.0), ("timelock", 1.0), ("cbc", 1.0))
+
+
+def _mix_profile(shards: int) -> MarketProfile:
+    """A tiny protocol-mix market over ``shards`` coordinator shards."""
+    base = MarketProfile.sharded_smoke(seed=7, shards=shards)
+    if shards == 1:
+        base = replace(base, cross_shard_rate=0.0)
+    return replace(
+        base, deals=40, protocol_mix=PROTOCOL_MIX, book_fund_fraction=0.5
+    )
+
+
+def _mix_config(replication: int, crash: bool) -> MarketConfig:
+    plan = None
+    if crash:
+        # A seeded (deterministic) crash schedule: a follower of shard
+        # 0 dies mid-run and recovers through snapshot + replay.
+        plan = FaultPlan().add(
+            ReplicaCrash(replica="s0/r1", at_time=12.0, recover_at=30.0)
+        )
+    return MarketConfig(replication_factor=replication, fault_plan=plan)
+
+
+# (shards, replication factor, seeded crash schedule?)
+MATRIX = [
+    (1, 1, False),
+    (2, 1, False),
+    (4, 1, False),
+    (1, 3, True),
+    (2, 3, True),
+    (4, 3, True),
+]
+
+
+@pytest.mark.parametrize("shards,replication,crash", MATRIX)
+def test_protocol_mix_matrix_holds_invariants(shards, replication, crash):
+    report = open_market(
+        MarketWorkload(_mix_profile(shards)), _mix_config(replication, crash)
+    ).run()
+    assert not report.invariant_violations
+    assert report.stuck == 0
+    assert report.committed > 0
+    assert report.committed_by_protocol().keys() == {"unanimity", "timelock", "cbc"}
+    assert report.shards == shards
+    assert report.replication_factor == replication
+    assert (report.faults_injected, report.recoveries) == ((1, 1) if crash else (0, 0))
+
+
+def test_open_market_returns_the_coordinator_and_runs_once():
+    market = open_market(MarketWorkload(_mix_profile(1)))
+    assert isinstance(market, MarketCoordinator)
+    # run() is memoized: a second call returns the same report object.
+    assert market.run() is market.run()
+
+
+def test_deal_scheduler_shim_is_gone():
+    # The one-release deprecation shim has been removed: the public
+    # surface is open_market (and MarketCoordinator for direct use).
+    with pytest.raises(ImportError):
+        from repro.market import DealScheduler  # noqa: F401
+    with pytest.raises(ModuleNotFoundError):
+        import repro.market.scheduler  # noqa: F401

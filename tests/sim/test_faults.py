@@ -281,75 +281,20 @@ def test_message_storm_schedule_is_seed_deterministic():
     assert run("gale") == run("gale")
 
 
-# ----------------------------------------------------------------------
-# WorkerKill: supervised-backend faults (PR 9)
-# ----------------------------------------------------------------------
-class _FakeWorkerHost:
-    """Minimal install_workers host: records (conditional) kills."""
-
-    def __init__(self, simulator, worker=None):
-        self.simulator = simulator
-        self.worker = worker  # None models the inline coordinator
-        self.kills = []
-
-    def fires_worker_faults(self, worker):
-        return self.worker is not None and self.worker == worker
-
-    def kill_worker(self, mode):
-        self.kills.append((mode, self.simulator.now))
-
-
-def test_worker_kill_fires_only_in_the_matching_worker():
-    from repro.sim.faults import FaultPlan, WorkerKill
-
-    sim = Simulator()
-    inline = _FakeWorkerHost(sim, worker=None)
-    wrong = _FakeWorkerHost(sim, worker=0)
-    victim = _FakeWorkerHost(sim, worker=1)
-    fault = WorkerKill(worker=1, at_time=5.0)
-    plan = FaultPlan().add(fault)
-    for host in (inline, wrong, victim):
-        plan.install_workers(host)
-    sim.run()
-    # The fault is scheduled on *every* simulator (identical event
-    # heaps across backends) but acts only where the index matches.
-    assert inline.kills == []
-    assert wrong.kills == []
-    assert victim.kills == [("kill", 5.0)]
-    assert fault.kills_fired == 1
-    assert fault.counters() == {"kills": 1}
-
-
-def test_worker_kill_hang_mode_passes_through():
-    from repro.sim.faults import WorkerKill
-
-    sim = Simulator()
-    host = _FakeWorkerHost(sim, worker=0)
-    WorkerKill(worker=0, at_time=3.0, mode="hang").install_worker(host)
-    sim.run()
-    assert host.kills == [("hang", 3.0)]
-
-
-def test_fault_plan_stats_name_storm_and_worker_targets():
-    from repro.sim.faults import FaultPlan, MessageStorm, WorkerKill
+def test_fault_plan_stats_name_storm_targets():
+    from repro.sim.faults import FaultPlan, MessageStorm
 
     sim, net = make_net()
-    host = _FakeWorkerHost(sim, worker=2)
     plan = FaultPlan()
     plan.add(MessageStorm(drop_rate=0.5, seed=1))
     plan.add(MessageStorm(drop_rate=1.0, endpoint="s0/r1"))
-    plan.add(WorkerKill(worker=2, at_time=1.0))
     plan.install(net)
-    plan.install_workers(host)
     net.register("b", lambda message: None)
     for _ in range(20):
         net.send("a", "b", "x")
     sim.run()
     rows = plan.stats()
-    assert [row["kind"] for row in rows] == [
-        "MessageStorm", "MessageStorm", "WorkerKill",
-    ]
+    assert [row["kind"] for row in rows] == ["MessageStorm", "MessageStorm"]
     assert rows[0]["target"] == "*"          # whole-plane storm
     assert rows[0]["dropped"] > 0
     assert rows[1]["target"] == "s0/r1"      # endpoint-narrowed storm
-    assert rows[2] == {"kind": "WorkerKill", "target": "worker-2", "kills": 1}

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import NetworkError
 from repro.sim.network import (
     DropMessage,
+    Envelope,
     EventuallySynchronousNetwork,
+    LocalBus,
     RecordingNetwork,
     SynchronousNetwork,
 )
@@ -236,7 +238,7 @@ def test_filter_duplicate_delivers_twice_fifo_clamped():
 # ChaosBus: seeded hazards + at-least-once delivery
 # ----------------------------------------------------------------------
 from repro.sim.chaos import ChaosPolicy  # noqa: E402
-from repro.sim.network import ChaosBus, LocalBus  # noqa: E402
+from repro.sim.network import ChaosBus  # noqa: E402
 
 
 def make_chaos(policy, seed=0, **kwargs):
@@ -372,3 +374,44 @@ def test_local_bus_never_stamps_msg_ids():
     # envelope as fresh and the bus never needs chaos counters.
     assert ids == [0, 0]
     assert "chaos_dropped" not in bus.stats
+
+
+# ----------------------------------------------------------------------
+# LocalBus: the market's synchronous Envelope plane
+# ----------------------------------------------------------------------
+def test_local_bus_delivers_synchronously_with_stats():
+    simulator = Simulator()
+    bus = LocalBus(simulator)
+    seen = []
+    bus.register("sink", seen.append)
+    bus.post("source", "sink", 3, payload="hello")
+    envelope = seen[0]
+    assert isinstance(envelope, Envelope)
+    assert (envelope.sender, envelope.shard, envelope.tick) == ("source", 3, 0.0)
+    assert envelope.payload == "hello"
+    bus.post("source", "nobody", 0, payload="lost")
+    assert bus.stats["delivered"] == 1
+    assert bus.stats["dropped"] == 1
+
+
+def test_local_bus_filters_drop_and_delay():
+    simulator = Simulator()
+    bus = LocalBus(simulator)
+    seen = []
+    bus.register("sink", seen.append)
+
+    def fn(envelope):
+        if envelope.payload == "poison":
+            raise DropMessage
+        if envelope.payload == "slow":
+            return 2.5
+        return None
+
+    bus.add_filter(fn)
+    bus.post("source", "sink", 0, payload="poison")
+    assert not seen and bus.stats["filter_dropped"] == 1
+    bus.post("source", "sink", 0, payload="slow")
+    assert not seen  # delayed envelopes ride the simulator
+    simulator.run()
+    assert [envelope.payload for envelope in seen] == ["slow"]
+    assert bus.stats["filter_delayed"] == 1

@@ -57,3 +57,24 @@ def test_parser_requires_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args([])
+
+
+def test_trace_summary_missing_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["trace-summary", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
+
+
+@pytest.mark.parametrize("bad_line", ["not json", "[1, 2]"])
+def test_trace_summary_bad_line_names_file_and_line(tmp_path, capsys, bad_line):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(f'{{"type": "meta"}}\n\n{bad_line}\n', encoding="utf-8")
+    assert main(["trace-summary", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {trace}:3: ")

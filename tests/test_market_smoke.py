@@ -56,7 +56,6 @@ EXPECTED_METRICS = {
     "availability",
     "sore_losers",
     "replication",
-    "exec_backend",
     "seal_policy",
     "fee_priced_out",
     "fees_accrued",
@@ -67,11 +66,10 @@ def test_market_quick_smoke(tmp_path):
     output = tmp_path / "BENCH_market.json"
     assert bench_e16_market.main(["--quick", "--output", str(output)]) == 0
     report = json.loads(output.read_text())
-    assert report["schema"] == "BENCH_market/v6"
+    assert report["schema"] == "BENCH_market/v7"
     assert report["quick"] is True
     metrics = report["metrics"]
     assert set(metrics) == EXPECTED_METRICS
-    assert metrics["exec_backend"] == "inline"
     # The fixed-seed smoke market must actually run hot: most deals
     # commit, none are stranded, and every conservation invariant holds.
     assert metrics["deals_committed"] > metrics["deals_spawned"] * 0.8
